@@ -44,16 +44,22 @@ echo "== [4/6] perf regression gate =="
 if [ "${REPRO_CHECK_SKIP_PERF:-0}" = "1" ]; then
     echo "skipped (REPRO_CHECK_SKIP_PERF=1)"
 else
+    # The one list of gated bench files: every bench baselined in
+    # BENCH_baseline.json must come from one of these, or the gate
+    # fails it as missing.
+    PERF_BENCHES=(
+        benchmarks/bench_perf_primitives.py
+        benchmarks/bench_perf_runner.py
+        benchmarks/bench_service.py
+        benchmarks/bench_stream.py
+        benchmarks/bench_cluster.py
+        benchmarks/bench_loadgen.py
+        benchmarks/bench_adversary.py
+        benchmarks/bench_v6.py
+    )
     BENCH_JSON="$(mktemp /tmp/bench_current.XXXXXX.json)"
     trap 'rm -f "$BENCH_JSON"' EXIT
-    python -m pytest \
-        benchmarks/bench_perf_primitives.py \
-        benchmarks/bench_perf_runner.py \
-        benchmarks/bench_service.py \
-        benchmarks/bench_stream.py \
-        benchmarks/bench_cluster.py \
-        benchmarks/bench_adversary.py \
-        benchmarks/bench_v6.py \
+    python -m pytest "${PERF_BENCHES[@]}" \
         --benchmark-json="$BENCH_JSON" -q
     python scripts/perf_regress.py "$BENCH_JSON"
 fi

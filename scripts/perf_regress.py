@@ -5,13 +5,10 @@ Compares a fresh pytest-benchmark JSON export against the committed
 baseline and fails when any benchmark's median slowed down by more
 than the threshold (default 20%).
 
-Workflow::
+Workflow: ``scripts/check.sh`` (step 4) runs the gated bench files —
+its ``PERF_BENCHES`` list is the one place that names them — into a
+``--benchmark-json`` export, then::
 
-    PYTHONPATH=src python -m pytest benchmarks/bench_perf_primitives.py \
-        benchmarks/bench_perf_runner.py benchmarks/bench_service.py \
-        benchmarks/bench_stream.py benchmarks/bench_cluster.py \
-        benchmarks/bench_loadgen.py benchmarks/bench_adversary.py \
-        --benchmark-json=/tmp/bench_current.json -q
     python scripts/perf_regress.py /tmp/bench_current.json
 
 The gated set covers the batch pipeline (primitives + runner), the
@@ -23,16 +20,19 @@ hot swap), the sharded cluster (scatter-gather batch throughput vs
 single-process on JSON, pipelined binary batches end to end, point p99
 during shard failover), the load-generation subsystem (schedule
 build rate, harness SLO against a live cluster), and the adversary
-lab (scenario build rate, end-to-end scenario scoring), so a slowdown
-on any side of the serving story fails the same gate.
+lab (scenario build rate, end-to-end scenario scoring), and the IPv6
+plane (survey build, v6 trie lookups, routed FT_BATCH_REQ6 batches),
+so a slowdown on any side of the serving story fails the same gate.
 
 Refreshing the baseline after an intentional perf change::
 
     python scripts/perf_regress.py /tmp/bench_current.json --update
 
-Benchmarks present on only one side are reported but never fail the
-gate (new benches appear, old ones retire); a regression verdict needs
-both medians. Microbenchmark medians on shared CI hardware jitter, so
+A new benchmark (current only) is reported and passes. A baselined
+benchmark missing from the current export fails the gate and is named:
+a bench that silently stopped running must not pass as "no
+regression". Retiring a bench on purpose is a baseline refresh with
+``--update``. Microbenchmark medians on shared CI hardware jitter, so
 the threshold is deliberately loose — the gate exists to catch real
 regressions (an accidental O(n^2), a dropped cache), not 5% noise.
 """
@@ -102,7 +102,7 @@ def main(argv=None) -> int:
             print(f"{name:{width}}  {'-':>12}  {current[name]*1e6:>10.1f}us  (new)")
             continue
         if name not in current:
-            print(f"{name:{width}}  {baseline[name]*1e6:>10.1f}us  {'-':>12}  (gone)")
+            print(f"{name:{width}}  {baseline[name]*1e6:>10.1f}us  {'-':>12}  MISSING")
             continue
         old, new = baseline[name], current[name]
         change = (new - old) / old
@@ -115,6 +115,14 @@ def main(argv=None) -> int:
             f"{change:+6.1%}{flag}"
         )
 
+    missing = sorted(set(baseline) - set(current))
+    if missing:
+        print(
+            f"\nFAIL: {len(missing)} baselined benchmark(s) missing from "
+            f"{args.current} (retire one with --update):"
+        )
+        for name in missing:
+            print(f"  {name}")
     if regressions:
         print(
             f"\nFAIL: {len(regressions)} benchmark(s) regressed more than "
@@ -122,6 +130,7 @@ def main(argv=None) -> int:
         )
         for name, change in regressions:
             print(f"  {name}: {change:+.1%}")
+    if missing or regressions:
         return 1
     print(f"\nOK: no benchmark regressed more than {args.threshold:.0%}")
     return 0

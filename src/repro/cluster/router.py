@@ -60,28 +60,20 @@ from ..service.server import (
     parse_ip,
 )
 from ..service.wire import (
+    BATCH_CODECS,
     FT_BATCH_REP,
     FT_BATCH_REP6,
     FT_MSG,
     MAX_FRAME_BYTES,
+    BatchCodec,
     WireError,
     decode_binary_frame,
     decode_frame,
     decode_msg_payload,
-    decode_record,
-    decode_record6,
-    encode_batch_request,
-    encode_batch_request6,
     encode_frame,
     encode_msg_frame,
-    pack_degraded,
-    pack_degraded6,
-    pack_verdict_wire,
-    pack_verdict_wire6,
     recv_frame,
     send_frame,
-    split_batch_reply,
-    split_batch_reply6,
 )
 from .partition import PartitionMap, ShardRange
 
@@ -126,7 +118,7 @@ class _Sub:
     """
 
     __slots__ = ("kind", "request", "pairs", "rid", "candidates",
-                 "failed", "shard_slot", "deadline", "finish", "v6")
+                 "failed", "shard_slot", "deadline", "finish", "codec")
 
     def __init__(
         self,
@@ -136,12 +128,12 @@ class _Sub:
         *,
         request: Optional[Dict[str, Any]] = None,
         pairs: Optional[List[Tuple[int, Optional[int]]]] = None,
-        v6: bool = False,
+        codec: Optional[BatchCodec] = None,
     ) -> None:
         self.kind = kind  # "batch" (packed pairs) or "msg" (request)
         self.request = request
         self.pairs = pairs
-        self.v6 = v6  # batch subs: which packed record layout applies
+        self.codec = codec  # batch subs: the family's packed codec
         self.rid = 0
         self.candidates: Deque["Backend"] = deque(
             shard_slot.ordered_backends()
@@ -594,8 +586,9 @@ class Router:
     # -- downstream request handling (loop thread) ---------------------
 
     def _handle(self, conn: Conn, slot: Slot, kind: str, data: Any) -> None:
-        if kind == "batch" or kind == "batch6":
-            family = V6 if kind == "batch6" else V4
+        if kind == "batch":
+            codec, pairs = data
+            family = codec.family
             plane = self._plane(family)
             if plane is None:
                 slot.fail(
@@ -603,13 +596,13 @@ class Router:
                     f"this {self._served_families()}-only cluster"
                 )
                 return
-            if len(data) > MAX_BATCH:
+            if len(pairs) > MAX_BATCH:
                 slot.fail(
-                    f"batch of {len(data)} exceeds the "
+                    f"batch of {len(pairs)} exceeds the "
                     f"{MAX_BATCH}-query limit"
                 )
                 return
-            self._route_batch(slot, data, family, *plane)
+            self._route_batch(slot, pairs, family, *plane)
             return
         request = data
         if not isinstance(request, dict):
@@ -756,6 +749,7 @@ class Router:
                     slot, pairs, entries, family, partition
                 )
 
+        codec = BATCH_CODECS[family]
         for shard_id, positions in by_shard.items():
             slots[shard_id].hits += len(positions)
             shard_pairs = [pairs[position] for position in positions]
@@ -767,7 +761,7 @@ class Router:
                         shard_done(s, p, status, value)
                     ),
                     pairs=shard_pairs,
-                    v6=family is V6,
+                    codec=codec,
                 )
             )
 
@@ -779,10 +773,8 @@ class Router:
         family: AddressFamily,
         partition: PartitionMap,
     ) -> None:
-        v6 = family is V6
+        codec = BATCH_CODECS[family]
         if slot.codec == "binary":
-            pack_miss = pack_verdict_wire6 if v6 else pack_verdict_wire
-            degrade = pack_degraded6 if v6 else pack_degraded
             try:
                 records = []
                 for (ip, day), entry in zip(pairs, entries):
@@ -790,18 +782,17 @@ class Router:
                         records.append(entry)
                     elif isinstance(entry, int):
                         records.append(
-                            degrade(ip, day, entry, SHARD_UNAVAILABLE)
+                            codec.pack_degraded(
+                                ip, day, entry, SHARD_UNAVAILABLE
+                            )
                         )
                     else:
-                        records.append(pack_miss(entry))
-                if v6:
-                    slot.complete_records6(records)
-                else:
-                    slot.complete_records(records)
+                        records.append(codec.pack_verdict_wire(entry))
+                slot.complete_records(codec, records)
                 return
             except WireError:
                 pass  # a verdict escaped the packed layout: JSON reply
-        decode = decode_record6 if v6 else decode_record
+        decode = codec.decode_record
         result: List[Dict[str, Any]] = []
         for (ip, day), entry in zip(pairs, entries):
             if isinstance(entry, bytes):
@@ -1111,13 +1102,10 @@ class Router:
 
     def _encode_sub(self, sub: _Sub, codec: str) -> bytes:
         if sub.kind == "batch":
-            assert sub.pairs is not None
+            assert sub.pairs is not None and sub.codec is not None
             if codec == "binary":
-                encode = (
-                    encode_batch_request6 if sub.v6 else encode_batch_request
-                )
                 try:
-                    return encode(
+                    return sub.codec.encode_request(
                         sub.pairs, sub.rid, max_size=MAX_FRAME_BYTES
                     )
                 except WireError:
@@ -1299,17 +1287,14 @@ class Router:
                             f"expected {sub.rid}"
                         )
                     if ftype == FT_BATCH_REP or ftype == FT_BATCH_REP6:
-                        if (ftype == FT_BATCH_REP6) != sub.v6:
+                        if sub.codec is None or ftype != sub.codec.reply_type:
                             raise WireError(
                                 f"batch reply frame type {ftype} does "
                                 f"not match the request's family"
                             )
-                        split = (
-                            split_batch_reply6
-                            if sub.v6
-                            else split_batch_reply
+                        self._sub_success(
+                            sub, "records", sub.codec.split_reply(payload)
                         )
-                        self._sub_success(sub, "records", split(payload))
                     elif ftype == FT_MSG:
                         self._deliver_reply(
                             sub,

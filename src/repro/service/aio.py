@@ -22,9 +22,9 @@ Three layers:
   :mod:`repro.service.wire`), the recoverable/fatal error split, idle
   timeouts, and graceful shutdown. Requests are handed to a
   ``handler(conn, slot, kind, data)`` callback; ``kind`` is ``"msg"``
-  (one decoded request object), ``"batch"`` (packed ``(ip, day)``
-  pairs from an ``FT_BATCH_REQ`` frame) or ``"batch6"`` (the same
-  from an ``FT_BATCH_REQ6`` frame, 128-bit addresses).
+  (one decoded request object) or ``"batch"`` (a ``(codec, pairs)``
+  tuple: the :class:`~repro.service.wire.BatchCodec` of the frame's
+  address family and its packed ``(ip, day)`` pairs).
 
 The handler runs on the loop thread and must not block; the
 reputation server answers inline, the cluster router completes slots
@@ -42,19 +42,18 @@ import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
+from ..net.family import V4, V6
 from .wire import (
+    BATCH_CODECS,
     FT_BATCH_REQ,
     FT_BATCH_REQ6,
     FT_MSG,
     MAX_FRAME_BYTES,
+    BatchCodec,
     WireError,
-    decode_batch_request,
-    decode_batch_request6,
     decode_binary_frame,
     decode_frame,
     decode_msg_payload,
-    encode_batch_reply_frame,
-    encode_batch_reply_frame6,
     encode_frame,
     encode_msg_frame,
 )
@@ -303,26 +302,14 @@ class Slot:
             return
         self._finish(encoded)
 
-    def complete_records(self, records: List[bytes]) -> None:
-        """Answer a binary batch with packed reply records."""
+    def complete_records(
+        self, codec: BatchCodec, records: List[bytes]
+    ) -> None:
+        """Answer a binary batch with ``codec``'s packed reply records."""
         if self.done:
             return
         try:
-            encoded = encode_batch_reply_frame(
-                records, self.request_id,
-                max_size=self._server.max_frame,
-            )
-        except WireError as exc:
-            self.fail(f"internal error: unserialisable reply: {exc}")
-            return
-        self._finish(encoded)
-
-    def complete_records6(self, records: List[bytes]) -> None:
-        """Answer a v6 binary batch with packed FT_BATCH_REP6 records."""
-        if self.done:
-            return
-        try:
-            encoded = encode_batch_reply_frame6(
+            encoded = codec.encode_reply_frame(
                 records, self.request_id,
                 max_size=self._server.max_frame,
             )
@@ -691,20 +678,14 @@ class WireServer:
                 slot.fail(str(exc))
                 return True
             self._dispatch(conn, slot, "msg", message)
-        elif ftype == FT_BATCH_REQ:
+        elif ftype == FT_BATCH_REQ or ftype == FT_BATCH_REQ6:
+            codec = BATCH_CODECS[V6 if ftype == FT_BATCH_REQ6 else V4]
             try:
-                pairs = decode_batch_request(payload)
+                pairs = codec.decode_request(payload)
             except WireError as exc:
                 slot.fail(str(exc))
                 return True
-            self._dispatch(conn, slot, "batch", pairs)
-        elif ftype == FT_BATCH_REQ6:
-            try:
-                pairs = decode_batch_request6(payload)
-            except WireError as exc:
-                slot.fail(str(exc))
-                return True
-            self._dispatch(conn, slot, "batch6", pairs)
+            self._dispatch(conn, slot, "batch", (codec, pairs))
         else:
             slot.fail(f"unexpected frame type {ftype}")
         return True

@@ -168,9 +168,16 @@ class QueryEngine:
         return verdict
 
     def query_batch(
-        self, queries: Iterable[Tuple[int, Optional[int]]]
+        self,
+        queries: Iterable[Tuple[int, Optional[int]]],
+        *,
+        served_hits: int = 0,
     ) -> List[Verdict]:
-        """Batch query: one verdict per ``(ip, day)`` pair, in order."""
+        """Batch query: one verdict per ``(ip, day)`` pair, in order.
+
+        ``served_hits`` counts queries of the same batch that a cache
+        in front of the engine already answered: they are counted as
+        served cache hits, so the counters see every query once."""
         started = time.perf_counter()
         verdicts = []
         hits = 0
@@ -181,8 +188,8 @@ class QueryEngine:
         self._count(
             "batch",
             time.perf_counter() - started,
-            hits,
-            queries_run=len(verdicts),
+            hits + served_hits,
+            queries_run=len(verdicts) + served_hits,
         )
         return verdicts
 

@@ -46,10 +46,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..net.family import V4, V6, AddressFamily, family_of_ip
+from ..net.family import V4, AddressFamily, family_of_ip
 from .aio import Conn, Slot, WireServer
 from .engine import QueryEngine
-from .wire import MAX_FRAME_BYTES, pack_verdict, pack_verdict6
+from .wire import MAX_FRAME_BYTES, BatchCodec
 
 __all__ = [
     "MAX_BATCH",
@@ -222,15 +222,15 @@ class ReputationServer:
     def _handle(
         self, conn: Conn, slot: Slot, kind: str, data: Any
     ) -> None:
-        if kind == "batch" or kind == "batch6":
-            wants = V6 if kind == "batch6" else V4
-            if wants is not self._family:
+        if kind == "batch":
+            codec, pairs = data
+            if codec.family is not self._family:
                 slot.fail(
-                    f"{wants.name} batch frame cannot be answered by "
-                    f"this {self._family.name}-only index"
+                    f"{codec.family.name} batch frame cannot be answered "
+                    f"by this {self._family.name}-only index"
                 )
                 return
-            self._handle_packed_batch(slot, data, v6=wants is V6)
+            self._handle_packed_batch(slot, codec, pairs)
             return
         try:
             reply, new_codec = self._dispatch(data)
@@ -286,13 +286,13 @@ class ReputationServer:
     def _handle_packed_batch(
         self,
         slot: Slot,
+        codec: BatchCodec,
         pairs: List[Tuple[int, Optional[int]]],
-        *,
-        v6: bool = False,
     ) -> None:
         """The binary hot path: answer an ``FT_BATCH_REQ`` (or
         ``FT_BATCH_REQ6``) from the packed-record cache, touching the
-        engine only for misses."""
+        engine only for misses. The engine counts every query of the
+        batch once, the cache's hits among them."""
         if len(pairs) > MAX_BATCH:
             slot.fail(
                 f"batch of {len(pairs)} exceeds the "
@@ -316,23 +316,21 @@ class ReputationServer:
                 miss_positions.append(len(records))
                 miss_pairs.append((ip, day))
             append(record)
-        if miss_pairs:
-            try:
-                verdicts = engine.query_batch(miss_pairs)
-            except ValueError as exc:
-                slot.fail(str(exc))
-                return
-            pack = pack_verdict6 if v6 else pack_verdict
-            for position, verdict in zip(miss_positions, verdicts):
-                record = pack(verdict)
-                records[position] = record
-                # Keyed under the verdict's *own* epoch: if a hot swap
-                # landed mid-batch, the entry must not shadow the new
-                # epoch's answer.
-                cache[(verdict.epoch, verdict.ip, verdict.day)] = record
-            while len(cache) > PACKED_CACHE_SIZE:
-                cache.popitem(last=False)
-        if v6:
-            slot.complete_records6(records)  # type: ignore[arg-type]
-        else:
-            slot.complete_records(records)  # type: ignore[arg-type]
+        try:
+            verdicts = engine.query_batch(
+                miss_pairs, served_hits=len(pairs) - len(miss_pairs)
+            )
+        except ValueError as exc:
+            slot.fail(str(exc))
+            return
+        pack = codec.pack_verdict
+        for position, verdict in zip(miss_positions, verdicts):
+            record = pack(verdict)
+            records[position] = record
+            # Keyed under the verdict's *own* epoch: if a hot swap
+            # landed mid-batch, the entry must not shadow the new
+            # epoch's answer.
+            cache[(verdict.epoch, verdict.ip, verdict.day)] = record
+        while len(cache) > PACKED_CACHE_SIZE:
+            cache.popitem(last=False)
+        slot.complete_records(codec, records)  # type: ignore[arg-type]

@@ -23,9 +23,11 @@ offset bytes meaning
 
 The frame type is the address-family tag: ``FT_BATCH_REQ``/``REP``
 carry 32-bit addresses exactly as they always did (old frames stay
-byte-compatible), while ``FT_BATCH_REQ6``/``REP6`` carry the same
-record layouts widened to 16-byte big-endian IPv6 addresses. A peer
-that never sends v6 frames never sees one back.
+byte-compatible), ``FT_BATCH_REQ6``/``REP6`` the same layouts with a
+16-byte address slot. The declarations :data:`REQUEST_LAYOUT`,
+:data:`VERDICT_LAYOUT` and :data:`DEGRADED_LAYOUT` are the single
+definition of each batch record format; :data:`BATCH_CODECS` builds
+one :class:`BatchCodec` per address family from them.
 
 — followed by the payload.  ``FT_MSG`` payloads carry one
 JSON-equivalent value in a compact tagged encoding (same data model as
@@ -60,15 +62,20 @@ Errors are split by whether the byte stream is still usable:
 from __future__ import annotations
 
 import json
+import operator
 import struct
 from functools import lru_cache
-from typing import Any, Dict, List, Optional, Protocol, Tuple
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
 
 from ..ipv6.addr6 import int_to_ip6
+from ..net.family import V4, V6, AddressFamily
 from ..net.ipv4 import int_to_ip
 
 __all__ = [
+    "BATCH_CODECS",
     "BINARY_MAGIC",
+    "BatchCodec",
     "FT_BATCH_REP",
     "FT_BATCH_REP6",
     "FT_BATCH_REQ",
@@ -88,7 +95,6 @@ __all__ = [
     "decode_record",
     "decode_record6",
     "encode_batch_reply_frame",
-    "encode_batch_reply_frame6",
     "encode_batch_request",
     "encode_batch_request6",
     "encode_binary_frame",
@@ -96,11 +102,9 @@ __all__ = [
     "encode_msg_frame",
     "encode_msg_payload",
     "pack_degraded",
-    "pack_degraded6",
     "pack_verdict",
     "pack_verdict6",
     "pack_verdict_wire",
-    "pack_verdict_wire6",
     "recv_binary_frame",
     "recv_frame",
     "send_frame",
@@ -154,22 +158,14 @@ def encode_frame(obj: Any, *, max_size: int = MAX_FRAME_BYTES) -> bytes:
         ).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise FrameError(f"unserialisable message: {exc}") from None
-    if len(payload) > max_size:
-        raise FrameError(
-            f"frame payload of {len(payload)} bytes exceeds the "
-            f"{max_size}-byte limit"
-        )
+    _check_payload_size(len(payload), max_size)
     return _HEADER.pack(len(payload)) + payload
 
 
 def _decode_payload(payload: bytes, max_size: int) -> Any:
     # Both callers check the declared length before reading; this bound
     # keeps the decoder safe even if a new call site forgets to.
-    if len(payload) > max_size:
-        raise FrameError(
-            f"frame payload of {len(payload)} bytes exceeds the "
-            f"{max_size}-byte limit"
-        )
+    _check_payload_size(len(payload), max_size)
     try:
         return json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
@@ -201,6 +197,13 @@ def decode_frame(
         # buffered parser can skip to ``end`` and stay on the stream.
         exc.consumed = end
         raise
+
+
+def _check_payload_size(size: int, max_size: int) -> None:
+    if size > max_size:
+        raise WireError(
+            f"frame payload of {size} bytes exceeds the {max_size}-byte limit"
+        )
 
 
 def _check_length(length: int, max_size: int) -> None:
@@ -378,11 +381,7 @@ def encode_msg_payload(obj: Any, *, max_size: int = MAX_FRAME_BYTES) -> bytes:
             stack.append(int(item))
         else:
             raise WireError(f"unserialisable message: {kind.__name__}")
-        if len(out) > max_size:
-            raise WireError(
-                f"frame payload of {len(out)} bytes exceeds the "
-                f"{max_size}-byte limit"
-            )
+        _check_payload_size(len(out), max_size)
     return bytes(out)
 
 
@@ -400,11 +399,7 @@ def decode_msg_payload(
     Every malformation raises the *recoverable* :class:`WireError` —
     the frame boundary was already known, so the stream stays in sync.
     """
-    if len(payload) > max_size:
-        raise WireError(
-            f"frame payload of {len(payload)} bytes exceeds the "
-            f"{max_size}-byte limit"
-        )
+    _check_payload_size(len(payload), max_size)
     size = len(payload)
     pos = 0
     # Container frames: [is_dict, remaining_count, container, pending_key]
@@ -535,11 +530,7 @@ def encode_binary_frame(
     """Wrap ``payload`` in a binary frame header."""
     if not payload:
         raise WireError("empty frame payload")
-    if len(payload) > max_size:
-        raise WireError(
-            f"frame payload of {len(payload)} bytes exceeds the "
-            f"{max_size}-byte limit"
-        )
+    _check_payload_size(len(payload), max_size)
     return (
         _BIN_HEADER.pack(
             BINARY_MAGIC, ftype, request_id & 0xFFFFFFFF, len(payload)
@@ -614,73 +605,21 @@ def recv_binary_frame(
     return ftype, request_id, payload
 
 
-# -- packed batch request ---------------------------------------------------
+# -- packed batch records ---------------------------------------------------
+#
+# Each layout is declared once, with an ``{ip}`` slot for the address.
 
-_BATCH_REQ_REC = struct.Struct(">IBi")  # ip, has_day, day
-
-
-def encode_batch_request(
-    pairs: List[Tuple[int, Optional[int]]],
-    request_id: int,
-    *,
-    max_size: int = MAX_FRAME_BYTES,
-) -> bytes:
-    """Pack ``(ip_int, day_or_None)`` pairs into one FT_BATCH_REQ frame.
-
-    Raises the recoverable :class:`WireError` when a value does not fit
-    the packed layout (caller falls back to an FT_MSG batch).
-    """
-    parts = [_U32.pack(len(pairs))]
-    pack = _BATCH_REQ_REC.pack
-    try:
-        for ip, day in pairs:
-            if day is None:
-                parts.append(pack(ip, 0, 0))
-            else:
-                parts.append(pack(ip, 1, day))
-    except struct.error as exc:
-        raise WireError(
-            f"batch not binary-packable: {exc}", recoverable=True
-        ) from None
-    return encode_binary_frame(
-        FT_BATCH_REQ, request_id, b"".join(parts), max_size=max_size
-    )
-
-
-def decode_batch_request(payload: bytes) -> List[Tuple[int, Optional[int]]]:
-    """Unpack an FT_BATCH_REQ payload into ``(ip, day_or_None)`` pairs."""
-    if len(payload) < 4:
-        raise WireError("truncated batch request", recoverable=True)
-    (count,) = _U32.unpack_from(payload)
-    if len(payload) != 4 + count * _BATCH_REQ_REC.size:
-        raise WireError(
-            "batch request length does not match its declared count",
-            recoverable=True,
-        )
-    pairs: List[Tuple[int, Optional[int]]] = []
-    append = pairs.append
-    for ip, has_day, day in _BATCH_REQ_REC.iter_unpack(
-        memoryview(payload)[4:]
-    ):
-        if has_day > 1:
-            raise WireError(
-                f"bad has_day flag {has_day} in batch request",
-                recoverable=True,
-            )
-        append((ip, day if has_day else None))
-    return pairs
-
-
-# -- packed batch reply -----------------------------------------------------
-
-#: Record kinds inside an FT_BATCH_REP payload.
+#: Record kinds inside a batch-reply payload.
 REC_VERDICT = 0
 REC_DEGRADED = 1
 
-_VERDICT_FIXED = struct.Struct(">BIiBBBIIIQB")
-# kind, ip, day, flags, action, reuse_kind, users, asn, epoch, seq, n_lists
-_DEGRADED_FIXED = struct.Struct(">BIBiI")
-# kind, ip, has_day, day, shard
+#: ip, has_day, day
+REQUEST_LAYOUT = ">{ip}Bi"
+#: kind, ip, day, flags, action, reuse_kind, users, asn, epoch, seq,
+#: n_lists — then n_lists (u8 length, UTF-8 list id) pairs.
+VERDICT_LAYOUT = ">B{ip}iBBBIIIQB"
+#: kind, ip, has_day, day, shard — then a u8 length and UTF-8 error.
+DEGRADED_LAYOUT = ">B{ip}BiI"
 
 _FLAG_LISTED = 1
 _FLAG_NATED = 2
@@ -692,321 +631,9 @@ _CODE_TO_ACTION = {v: k for k, v in _ACTION_TO_CODE.items()}
 _REUSE_TO_CODE = {"": 0, "nat": 1, "dynamic": 2, "nat+dynamic": 3}
 _CODE_TO_REUSE = {v: k for k, v in _REUSE_TO_CODE.items()}
 
-_int_to_ip_cached = lru_cache(maxsize=1 << 16)(int_to_ip)
-
-
-def _pack_verdict_fields(
-    ip: int,
-    day: int,
-    listed: bool,
-    lists: Any,
-    nated: bool,
-    dynamic: bool,
-    unjust: bool,
-    reuse_kind: str,
-    users: int,
-    asn: int,
-    action: str,
-    epoch: int,
-    seq: int,
-) -> bytes:
-    action_code = _ACTION_TO_CODE.get(action)
-    reuse_code = _REUSE_TO_CODE.get(reuse_kind)
-    if action_code is None or reuse_code is None:
-        raise WireError(
-            f"verdict not binary-packable: action={action!r} "
-            f"reuse_kind={reuse_kind!r}",
-            recoverable=True,
-        )
-    flags = (
-        (_FLAG_LISTED if listed else 0)
-        | (_FLAG_NATED if nated else 0)
-        | (_FLAG_DYNAMIC if dynamic else 0)
-        | (_FLAG_UNJUST if unjust else 0)
-    )
-    try:
-        head = _VERDICT_FIXED.pack(
-            REC_VERDICT, ip, day, flags, action_code, reuse_code,
-            users, asn, epoch, seq, len(lists),
-        )
-    except struct.error as exc:
-        raise WireError(
-            f"verdict not binary-packable: {exc}", recoverable=True
-        ) from None
-    if not lists:
-        return head
-    parts = [head]
-    for list_id in lists:
-        raw = str(list_id).encode("utf-8")
-        if len(raw) > 255:
-            raise WireError(
-                f"verdict not binary-packable: list id of {len(raw)} bytes",
-                recoverable=True,
-            )
-        parts.append(bytes((len(raw),)))
-        parts.append(raw)
-    return b"".join(parts)
-
-
-def pack_verdict(verdict: Any) -> bytes:
-    """Pack one engine :class:`~repro.service.engine.Verdict` (any
-    object with its attributes) into a batch-reply record."""
-    return _pack_verdict_fields(
-        verdict.ip, verdict.day, verdict.listed, verdict.lists,
-        verdict.nated, verdict.dynamic, verdict.unjust,
-        verdict.reuse_kind, verdict.users, verdict.asn, verdict.action,
-        verdict.epoch, verdict.seq,
-    )
-
-
-def pack_verdict_wire(entry: Dict[str, Any]) -> bytes:
-    """Pack a verdict already in wire-dict form (dotted-quad ip) into a
-    batch-reply record — the Router's JSON-upstream → binary-downstream
-    conversion."""
-    from ..net.ipv4 import ip_to_int
-
-    try:
-        return _pack_verdict_fields(
-            ip_to_int(entry["ip"]), entry["day"], bool(entry["listed"]),
-            entry["lists"], bool(entry["nated"]), bool(entry["dynamic"]),
-            bool(entry["unjust"]), entry["reuse_kind"], entry["users"],
-            entry["asn"], entry["action"], entry["epoch"], entry["seq"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, WireError):
-            raise
-        raise WireError(
-            f"verdict not binary-packable: {exc}", recoverable=True
-        ) from None
-
-
-def pack_degraded(
-    ip: int, day: Optional[int], shard: int, error: str
-) -> bytes:
-    """Pack one degraded (shard-unavailable) batch-reply record."""
-    raw = error.encode("utf-8")
-    if len(raw) > 255:
-        raw = raw[:255]
-    try:
-        head = _DEGRADED_FIXED.pack(
-            REC_DEGRADED, ip, 0 if day is None else 1,
-            0 if day is None else day, shard,
-        )
-    except struct.error as exc:
-        raise WireError(
-            f"degraded entry not binary-packable: {exc}", recoverable=True
-        ) from None
-    return head + bytes((len(raw),)) + raw
-
-
-def encode_batch_reply_frame(
-    records: List[bytes],
-    request_id: int,
-    *,
-    max_size: int = MAX_FRAME_BYTES,
-) -> bytes:
-    """Assemble packed records into one FT_BATCH_REP frame."""
-    payload = _U32.pack(len(records)) + b"".join(records)
-    return encode_binary_frame(
-        FT_BATCH_REP, request_id, payload, max_size=max_size
-    )
-
-
-def _record_span(payload: bytes, pos: int, size: int) -> int:
-    """Return the end offset of the record starting at ``pos``."""
-    kind = payload[pos]
-    if kind == REC_VERDICT:
-        end = pos + _VERDICT_FIXED.size
-        _need(payload, pos, _VERDICT_FIXED.size)
-        n_lists = payload[end - 1]
-        for _ in range(n_lists):
-            _need(payload, end, 1)
-            end += 1 + payload[end]
-    elif kind == REC_DEGRADED:
-        end = pos + _DEGRADED_FIXED.size
-        _need(payload, pos, _DEGRADED_FIXED.size)
-        _need(payload, end, 1)
-        end += 1 + payload[end]
-    else:
-        raise WireError(
-            f"unknown batch record kind {kind}", recoverable=True
-        )
-    if end > size:
-        raise WireError("truncated batch reply record", recoverable=True)
-    return end
-
-
-def split_batch_reply(payload: bytes) -> List[bytes]:
-    """Slice an FT_BATCH_REP payload into its raw records, validated
-    but not decoded — the Router merges shard replies by concatenating
-    these slices without ever building verdict dicts."""
-    if len(payload) < 4:
-        raise WireError("truncated batch reply", recoverable=True)
-    (count,) = _U32.unpack_from(payload)
-    size = len(payload)
-    records: List[bytes] = []
-    pos = 4
-    for _ in range(count):
-        _need(payload, pos, 1)
-        end = _record_span(payload, pos, size)
-        records.append(payload[pos:end])
-        pos = end
-    if pos != size:
-        raise WireError(
-            f"{size - pos} trailing bytes after batch reply",
-            recoverable=True,
-        )
-    return records
-
-
-def _decode_verdict_record(payload: bytes, pos: int) -> Tuple[Dict[str, Any], int]:
-    if pos + _VERDICT_FIXED.size > len(payload):
-        raise WireError("truncated batch reply record", recoverable=True)
-    (
-        _kind, ip, day, flags, action_code, reuse_code,
-        users, asn, epoch, seq, n_lists,
-    ) = _VERDICT_FIXED.unpack_from(payload, pos)
-    pos += _VERDICT_FIXED.size
-    lists: List[str] = []
-    size = len(payload)
-    for _ in range(n_lists):
-        if pos >= size:
-            raise WireError("truncated batch reply record", recoverable=True)
-        length = payload[pos]
-        pos += 1
-        if pos + length > size:
-            raise WireError("truncated batch reply record", recoverable=True)
-        try:
-            lists.append(payload[pos : pos + length].decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise WireError(
-                f"undecodable list id: {exc}", recoverable=True
-            ) from None
-        pos += length
-    action = _CODE_TO_ACTION.get(action_code)
-    reuse_kind = _CODE_TO_REUSE.get(reuse_code)
-    if action is None or reuse_kind is None:
-        raise WireError(
-            f"bad verdict codes action={action_code} reuse={reuse_code}",
-            recoverable=True,
-        )
-    entry = {
-        "ip": _int_to_ip_cached(ip),
-        "day": day,
-        "listed": bool(flags & _FLAG_LISTED),
-        "lists": lists,
-        "nated": bool(flags & _FLAG_NATED),
-        "dynamic": bool(flags & _FLAG_DYNAMIC),
-        "unjust": bool(flags & _FLAG_UNJUST),
-        "reuse_kind": reuse_kind,
-        "users": users,
-        "asn": asn,
-        "action": action,
-        "epoch": epoch,
-        "seq": seq,
-    }
-    return entry, pos
-
-
-def _decode_degraded_record(
-    payload: bytes, pos: int
-) -> Tuple[Dict[str, Any], int]:
-    if pos + _DEGRADED_FIXED.size > len(payload):
-        raise WireError("truncated batch reply record", recoverable=True)
-    _kind, ip, has_day, day, shard = _DEGRADED_FIXED.unpack_from(payload, pos)
-    pos += _DEGRADED_FIXED.size
-    size = len(payload)
-    if pos >= size:
-        raise WireError("truncated batch reply record", recoverable=True)
-    length = payload[pos]
-    pos += 1
-    if pos + length > size:
-        raise WireError("truncated batch reply record", recoverable=True)
-    try:
-        error = payload[pos : pos + length].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise WireError(
-            f"undecodable error text: {exc}", recoverable=True
-        ) from None
-    pos += length
-    entry = {
-        "ip": _int_to_ip_cached(ip),
-        "day": day if has_day else None,
-        "error": error,
-        "shard": shard,
-    }
-    return entry, pos
-
-
-def decode_record(record: bytes) -> Dict[str, Any]:
-    """Decode one packed record (a :func:`split_batch_reply` slice)
-    into its wire dict — the Router's binary-upstream →
-    JSON-downstream conversion."""
-    if not record:
-        raise WireError("empty batch record", recoverable=True)
-    kind = record[0]
-    if kind == REC_VERDICT:
-        entry, pos = _decode_verdict_record(record, 0)
-    elif kind == REC_DEGRADED:
-        entry, pos = _decode_degraded_record(record, 0)
-    else:
-        raise WireError(
-            f"unknown batch record kind {kind}", recoverable=True
-        )
-    if pos != len(record):
-        raise WireError(
-            f"{len(record) - pos} trailing bytes after batch record",
-            recoverable=True,
-        )
-    return entry
-
-
-def decode_batch_reply(payload: bytes) -> List[Dict[str, Any]]:
-    """Decode an FT_BATCH_REP payload into the same wire dicts the JSON
-    codec produces — field-for-field equal, so clients cannot tell the
-    codecs apart by content."""
-    if len(payload) < 4:
-        raise WireError("truncated batch reply", recoverable=True)
-    (count,) = _U32.unpack_from(payload)
-    size = len(payload)
-    entries: List[Dict[str, Any]] = []
-    pos = 4
-    for _ in range(count):
-        if pos >= size:
-            raise WireError("truncated batch reply", recoverable=True)
-        kind = payload[pos]
-        if kind == REC_VERDICT:
-            entry, pos = _decode_verdict_record(payload, pos)
-        elif kind == REC_DEGRADED:
-            entry, pos = _decode_degraded_record(payload, pos)
-        else:
-            raise WireError(
-                f"unknown batch record kind {kind}", recoverable=True
-            )
-        entries.append(entry)
-    if pos != size:
-        raise WireError(
-            f"{size - pos} trailing bytes after batch reply",
-            recoverable=True,
-        )
-    return entries
-
-
-# -- v6 packed batch records ------------------------------------------------
-#
-# Same record shapes as the v4 batch path with the address field
-# widened to 16 big-endian bytes. Kept as parallel functions rather
-# than a width parameter: the v4 pack/unpack calls are the hottest
-# code in the serving plane and must not grow a branch.
-
-_BATCH_REQ6_REC = struct.Struct(">16sBi")  # ip, has_day, day
-
-_VERDICT6_FIXED = struct.Struct(">B16siBBBIIIQB")
-# kind, ip, day, flags, action, reuse_kind, users, asn, epoch, seq, n_lists
-_DEGRADED6_FIXED = struct.Struct(">B16sBiI")
-# kind, ip, has_day, day, shard
-
-_int_to_ip6_cached = lru_cache(maxsize=1 << 16)(int_to_ip6)
+Pairs = List[Tuple[int, Optional[int]]]
+#: A decoded record's wire dict and the offset just past it.
+Decoded = Tuple[Dict[str, Any], int]
 
 
 def _ip6_raw(ip: int) -> bytes:
@@ -1018,351 +645,404 @@ def _ip6_raw(ip: int) -> bytes:
         ) from None
 
 
-def encode_batch_request6(
-    pairs: List[Tuple[int, Optional[int]]],
-    request_id: int,
-    *,
-    max_size: int = MAX_FRAME_BYTES,
-) -> bytes:
-    """Pack ``(ip6_int, day_or_None)`` pairs into one FT_BATCH_REQ6
-    frame.
+def _raw6_to_int(raw: bytes) -> int:
+    return int.from_bytes(raw, "big")
 
-    Raises the recoverable :class:`WireError` when a value does not fit
-    the packed layout (caller falls back to an FT_MSG batch).
-    """
-    parts = [_U32.pack(len(pairs))]
-    pack = _BATCH_REQ6_REC.pack
-    try:
-        for ip, day in pairs:
-            if day is None:
-                parts.append(pack(_ip6_raw(ip), 0, 0))
+
+def _raw6_to_text(raw: bytes) -> str:
+    return int_to_ip6(int.from_bytes(raw, "big"))
+
+
+def _packer(
+    layout: struct.Struct, template: str, to_raw: Optional[Callable[[int], Any]]
+) -> Callable[..., bytes]:
+    """``layout.pack`` taking the record's address slot as an int."""
+    pack = layout.pack
+    if to_raw is None:
+        return pack  # the slot packs an int natively
+    # The address is a layout's first field or follows its kind byte.
+    if template.startswith(">{ip}"):
+        return lambda ip, *rest: pack(to_raw(ip), *rest)
+    return lambda head, ip, *rest: pack(head, to_raw(ip), *rest)
+
+
+def _truncated_record() -> WireError:
+    return WireError("truncated batch reply record", recoverable=True)
+
+
+class BatchCodec:
+    """The packed batch path of one address family: its frame types,
+    the batch layouts compiled with its address slot, the converters
+    between that slot and an int or text address, and the one set of
+    batch encode/decode functions both families share."""
+
+    __slots__ = ("family", "request_type", "reply_type", "_request",
+                 "_verdict", "_degraded", "_pack_request", "_pack_verdict",
+                 "_pack_degraded", "_ip_int", "_ip_text")
+
+    def __init__(
+        self,
+        family: AddressFamily,
+        request_type: int,
+        reply_type: int,
+        *,
+        slot: str,
+        to_raw: Optional[Callable[[int], Any]],
+        to_int: Callable[[Any], int],
+        to_text: Callable[[Any], str],
+    ) -> None:
+        self.family = family
+        self.request_type = request_type
+        self.reply_type = reply_type
+        self._request = struct.Struct(REQUEST_LAYOUT.format(ip=slot))
+        self._verdict = struct.Struct(VERDICT_LAYOUT.format(ip=slot))
+        self._degraded = struct.Struct(DEGRADED_LAYOUT.format(ip=slot))
+        self._pack_request = _packer(self._request, REQUEST_LAYOUT, to_raw)
+        self._pack_verdict = _packer(self._verdict, VERDICT_LAYOUT, to_raw)
+        self._pack_degraded = _packer(self._degraded, DEGRADED_LAYOUT, to_raw)
+        self._ip_int = to_int
+        self._ip_text = lru_cache(maxsize=1 << 16)(to_text)
+
+    # -- requests -------------------------------------------------------
+
+    def encode_request(
+        self, pairs: Pairs, request_id: int, *, max_size: int = MAX_FRAME_BYTES
+    ) -> bytes:
+        """Pack ``(ip_int, day_or_None)`` pairs into one batch-request
+        frame.
+
+        Raises the recoverable :class:`WireError` when a value does not
+        fit the packed layout (caller falls back to an FT_MSG batch).
+        """
+        parts = [_U32.pack(len(pairs))]
+        pack = self._pack_request
+        try:
+            for ip, day in pairs:
+                parts.append(pack(ip, 0, 0) if day is None else pack(ip, 1, day))
+        except struct.error as exc:
+            raise WireError(
+                f"batch not binary-packable: {exc}", recoverable=True
+            ) from None
+        return encode_binary_frame(
+            self.request_type, request_id, b"".join(parts), max_size=max_size
+        )
+
+    def decode_request(self, payload: bytes) -> Pairs:
+        """Unpack a batch-request payload into ``(ip, day_or_None)``
+        pairs."""
+        if len(payload) < 4:
+            raise WireError("truncated batch request", recoverable=True)
+        (count,) = _U32.unpack_from(payload)
+        if len(payload) != 4 + count * self._request.size:
+            raise WireError(
+                "batch request length does not match its declared count",
+                recoverable=True,
+            )
+        pairs: Pairs = []
+        append = pairs.append
+        to_int = self._ip_int
+        for raw, has_day, day in self._request.iter_unpack(
+            memoryview(payload)[4:]
+        ):
+            if has_day > 1:
+                raise WireError(
+                    f"bad has_day flag {has_day} in batch request",
+                    recoverable=True,
+                )
+            append((to_int(raw), day if has_day else None))
+        return pairs
+
+    # -- reply records --------------------------------------------------
+
+    def pack_verdict(self, verdict: Any) -> bytes:
+        """Pack one engine :class:`~repro.service.engine.Verdict` (any
+        object with its attributes) into a batch-reply record."""
+        action_code = _ACTION_TO_CODE.get(verdict.action)
+        reuse_code = _REUSE_TO_CODE.get(verdict.reuse_kind)
+        if action_code is None or reuse_code is None:
+            raise WireError(
+                f"verdict not binary-packable: action={verdict.action!r} "
+                f"reuse_kind={verdict.reuse_kind!r}",
+                recoverable=True,
+            )
+        flags = (
+            (_FLAG_LISTED if verdict.listed else 0)
+            | (_FLAG_NATED if verdict.nated else 0)
+            | (_FLAG_DYNAMIC if verdict.dynamic else 0)
+            | (_FLAG_UNJUST if verdict.unjust else 0)
+        )
+        lists = verdict.lists
+        try:
+            head = self._pack_verdict(
+                REC_VERDICT, verdict.ip, verdict.day, flags, action_code,
+                reuse_code, verdict.users, verdict.asn, verdict.epoch,
+                verdict.seq, len(lists),
+            )
+        except struct.error as exc:
+            raise WireError(
+                f"verdict not binary-packable: {exc}", recoverable=True
+            ) from None
+        if not lists:
+            return head
+        parts = [head]
+        for list_id in lists:
+            raw = str(list_id).encode("utf-8")
+            if len(raw) > 255:
+                raise WireError(
+                    "verdict not binary-packable: list id of "
+                    f"{len(raw)} bytes",
+                    recoverable=True,
+                )
+            parts.append(bytes((len(raw),)))
+            parts.append(raw)
+        return b"".join(parts)
+
+    def pack_verdict_wire(self, entry: Dict[str, Any]) -> bytes:
+        """Pack a verdict already in wire-dict form (text address) into
+        a batch-reply record — the Router's JSON-upstream →
+        binary-downstream conversion."""
+        try:
+            return self.pack_verdict(
+                SimpleNamespace(
+                    ip=self.family.parse(entry["ip"]), day=entry["day"],
+                    listed=entry["listed"], lists=entry["lists"],
+                    nated=entry["nated"], dynamic=entry["dynamic"],
+                    unjust=entry["unjust"], reuse_kind=entry["reuse_kind"],
+                    users=entry["users"], asn=entry["asn"],
+                    action=entry["action"], epoch=entry["epoch"],
+                    seq=entry["seq"],
+                )
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            if isinstance(exc, WireError):
+                raise
+            raise WireError(
+                f"verdict not binary-packable: {exc}", recoverable=True
+            ) from None
+
+    def pack_degraded(
+        self, ip: int, day: Optional[int], shard: int, error: str
+    ) -> bytes:
+        """Pack one degraded (shard-unavailable) batch-reply record."""
+        raw = error.encode("utf-8")[:255]
+        try:
+            head = self._pack_degraded(
+                REC_DEGRADED, ip, 0 if day is None else 1,
+                0 if day is None else day, shard,
+            )
+        except struct.error as exc:
+            raise WireError(
+                f"degraded entry not binary-packable: {exc}",
+                recoverable=True,
+            ) from None
+        return head + bytes((len(raw),)) + raw
+
+    def encode_reply_frame(
+        self, records: List[bytes], request_id: int, *,
+        max_size: int = MAX_FRAME_BYTES,
+    ) -> bytes:
+        """Assemble packed records into one batch-reply frame."""
+        payload = _U32.pack(len(records)) + b"".join(records)
+        return encode_binary_frame(
+            self.reply_type, request_id, payload, max_size=max_size
+        )
+
+    # -- reply decoding -------------------------------------------------
+
+    def split_reply(self, payload: bytes) -> List[bytes]:
+        """Slice a batch-reply payload into its raw records, validated
+        but not decoded — the Router merges shard replies by
+        concatenating these slices without ever building verdict
+        dicts."""
+        if len(payload) < 4:
+            raise WireError("truncated batch reply", recoverable=True)
+        (count,) = _U32.unpack_from(payload)
+        size = len(payload)
+        verdict_size = self._verdict.size
+        degraded_size = self._degraded.size
+        records: List[bytes] = []
+        pos = 4
+        for _ in range(count):
+            _need(payload, pos, 1)
+            kind = payload[pos]
+            if kind == REC_VERDICT:
+                _need(payload, pos, verdict_size)
+                end = pos + verdict_size
+                for _ in range(payload[end - 1]):
+                    _need(payload, end, 1)
+                    end += 1 + payload[end]
+            elif kind == REC_DEGRADED:
+                _need(payload, pos, degraded_size)
+                end = pos + degraded_size
+                _need(payload, end, 1)
+                end += 1 + payload[end]
             else:
-                parts.append(pack(_ip6_raw(ip), 1, day))
-    except struct.error as exc:
-        raise WireError(
-            f"batch not binary-packable: {exc}", recoverable=True
-        ) from None
-    return encode_binary_frame(
-        FT_BATCH_REQ6, request_id, b"".join(parts), max_size=max_size
-    )
-
-
-def decode_batch_request6(payload: bytes) -> List[Tuple[int, Optional[int]]]:
-    """Unpack an FT_BATCH_REQ6 payload into ``(ip, day_or_None)`` pairs."""
-    if len(payload) < 4:
-        raise WireError("truncated batch request", recoverable=True)
-    (count,) = _U32.unpack_from(payload)
-    if len(payload) != 4 + count * _BATCH_REQ6_REC.size:
-        raise WireError(
-            "batch request length does not match its declared count",
-            recoverable=True,
-        )
-    pairs: List[Tuple[int, Optional[int]]] = []
-    append = pairs.append
-    from_bytes = int.from_bytes
-    for raw, has_day, day in _BATCH_REQ6_REC.iter_unpack(
-        memoryview(payload)[4:]
-    ):
-        if has_day > 1:
+                raise WireError(
+                    f"unknown batch record kind {kind}", recoverable=True
+                )
+            if end > size:
+                raise _truncated_record()
+            records.append(payload[pos:end])
+            pos = end
+        if pos != size:
             raise WireError(
-                f"bad has_day flag {has_day} in batch request",
+                f"{size - pos} trailing bytes after batch reply",
                 recoverable=True,
             )
-        append((from_bytes(raw, "big"), day if has_day else None))
-    return pairs
+        return records
 
-
-def _pack_verdict_fields6(
-    ip: int,
-    day: int,
-    listed: bool,
-    lists: Any,
-    nated: bool,
-    dynamic: bool,
-    unjust: bool,
-    reuse_kind: str,
-    users: int,
-    asn: int,
-    action: str,
-    epoch: int,
-    seq: int,
-) -> bytes:
-    action_code = _ACTION_TO_CODE.get(action)
-    reuse_code = _REUSE_TO_CODE.get(reuse_kind)
-    if action_code is None or reuse_code is None:
-        raise WireError(
-            f"verdict not binary-packable: action={action!r} "
-            f"reuse_kind={reuse_kind!r}",
-            recoverable=True,
-        )
-    flags = (
-        (_FLAG_LISTED if listed else 0)
-        | (_FLAG_NATED if nated else 0)
-        | (_FLAG_DYNAMIC if dynamic else 0)
-        | (_FLAG_UNJUST if unjust else 0)
-    )
-    try:
-        head = _VERDICT6_FIXED.pack(
-            REC_VERDICT, _ip6_raw(ip), day, flags, action_code,
-            reuse_code, users, asn, epoch, seq, len(lists),
-        )
-    except struct.error as exc:
-        raise WireError(
-            f"verdict not binary-packable: {exc}", recoverable=True
-        ) from None
-    if not lists:
-        return head
-    parts = [head]
-    for list_id in lists:
-        raw = str(list_id).encode("utf-8")
-        if len(raw) > 255:
-            raise WireError(
-                f"verdict not binary-packable: list id of {len(raw)} bytes",
-                recoverable=True,
-            )
-        parts.append(bytes((len(raw),)))
-        parts.append(raw)
-    return b"".join(parts)
-
-
-def pack_verdict6(verdict: Any) -> bytes:
-    """Pack one v6 engine verdict into an FT_BATCH_REP6 record."""
-    return _pack_verdict_fields6(
-        verdict.ip, verdict.day, verdict.listed, verdict.lists,
-        verdict.nated, verdict.dynamic, verdict.unjust,
-        verdict.reuse_kind, verdict.users, verdict.asn, verdict.action,
-        verdict.epoch, verdict.seq,
-    )
-
-
-def pack_verdict_wire6(entry: Dict[str, Any]) -> bytes:
-    """Pack a v6 verdict already in wire-dict form (text address) into
-    an FT_BATCH_REP6 record."""
-    from ..ipv6.addr6 import ip6_to_int
-
-    try:
-        return _pack_verdict_fields6(
-            ip6_to_int(entry["ip"]), entry["day"], bool(entry["listed"]),
-            entry["lists"], bool(entry["nated"]), bool(entry["dynamic"]),
-            bool(entry["unjust"]), entry["reuse_kind"], entry["users"],
-            entry["asn"], entry["action"], entry["epoch"], entry["seq"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, WireError):
-            raise
-        raise WireError(
-            f"verdict not binary-packable: {exc}", recoverable=True
-        ) from None
-
-
-def pack_degraded6(
-    ip: int, day: Optional[int], shard: int, error: str
-) -> bytes:
-    """Pack one degraded (shard-unavailable) FT_BATCH_REP6 record."""
-    raw = error.encode("utf-8")
-    if len(raw) > 255:
-        raw = raw[:255]
-    try:
-        head = _DEGRADED6_FIXED.pack(
-            REC_DEGRADED, _ip6_raw(ip), 0 if day is None else 1,
-            0 if day is None else day, shard,
-        )
-    except struct.error as exc:
-        raise WireError(
-            f"degraded entry not binary-packable: {exc}", recoverable=True
-        ) from None
-    return head + bytes((len(raw),)) + raw
-
-
-def encode_batch_reply_frame6(
-    records: List[bytes],
-    request_id: int,
-    *,
-    max_size: int = MAX_FRAME_BYTES,
-) -> bytes:
-    """Assemble packed v6 records into one FT_BATCH_REP6 frame."""
-    payload = _U32.pack(len(records)) + b"".join(records)
-    return encode_binary_frame(
-        FT_BATCH_REP6, request_id, payload, max_size=max_size
-    )
-
-
-def _record_span6(payload: bytes, pos: int, size: int) -> int:
-    """Return the end offset of the v6 record starting at ``pos``."""
-    kind = payload[pos]
-    if kind == REC_VERDICT:
-        end = pos + _VERDICT6_FIXED.size
-        _need(payload, pos, _VERDICT6_FIXED.size)
-        n_lists = payload[end - 1]
+    def _decode_verdict(self, payload: bytes, pos: int) -> Decoded:
+        if pos + self._verdict.size > len(payload):
+            raise _truncated_record()
+        (
+            _kind, ip, day, flags, action_code, reuse_code,
+            users, asn, epoch, seq, n_lists,
+        ) = self._verdict.unpack_from(payload, pos)
+        pos += self._verdict.size
+        lists: List[str] = []
+        size = len(payload)
         for _ in range(n_lists):
-            _need(payload, end, 1)
-            end += 1 + payload[end]
-    elif kind == REC_DEGRADED:
-        end = pos + _DEGRADED6_FIXED.size
-        _need(payload, pos, _DEGRADED6_FIXED.size)
-        _need(payload, end, 1)
-        end += 1 + payload[end]
-    else:
-        raise WireError(
-            f"unknown batch record kind {kind}", recoverable=True
+            if pos >= size:
+                raise _truncated_record()
+            length = payload[pos]
+            pos += 1
+            if pos + length > size:
+                raise _truncated_record()
+            try:
+                lists.append(payload[pos : pos + length].decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise WireError(
+                    f"undecodable list id: {exc}", recoverable=True
+                ) from None
+            pos += length
+        action = _CODE_TO_ACTION.get(action_code)
+        reuse_kind = _CODE_TO_REUSE.get(reuse_code)
+        if action is None or reuse_kind is None:
+            raise WireError(
+                f"bad verdict codes action={action_code} reuse={reuse_code}",
+                recoverable=True,
+            )
+        entry = {
+            "ip": self._ip_text(ip),
+            "day": day,
+            "listed": bool(flags & _FLAG_LISTED),
+            "lists": lists,
+            "nated": bool(flags & _FLAG_NATED),
+            "dynamic": bool(flags & _FLAG_DYNAMIC),
+            "unjust": bool(flags & _FLAG_UNJUST),
+            "reuse_kind": reuse_kind,
+            "users": users,
+            "asn": asn,
+            "action": action,
+            "epoch": epoch,
+            "seq": seq,
+        }
+        return entry, pos
+
+    def _decode_degraded(self, payload: bytes, pos: int) -> Decoded:
+        if pos + self._degraded.size > len(payload):
+            raise _truncated_record()
+        _kind, ip, has_day, day, shard = self._degraded.unpack_from(
+            payload, pos
         )
-    if end > size:
-        raise WireError("truncated batch reply record", recoverable=True)
-    return end
-
-
-def split_batch_reply6(payload: bytes) -> List[bytes]:
-    """Slice an FT_BATCH_REP6 payload into its raw records, validated
-    but not decoded (the Router's merge path)."""
-    if len(payload) < 4:
-        raise WireError("truncated batch reply", recoverable=True)
-    (count,) = _U32.unpack_from(payload)
-    size = len(payload)
-    records: List[bytes] = []
-    pos = 4
-    for _ in range(count):
-        _need(payload, pos, 1)
-        end = _record_span6(payload, pos, size)
-        records.append(payload[pos:end])
-        pos = end
-    if pos != size:
-        raise WireError(
-            f"{size - pos} trailing bytes after batch reply",
-            recoverable=True,
-        )
-    return records
-
-
-def _decode_verdict_record6(
-    payload: bytes, pos: int
-) -> Tuple[Dict[str, Any], int]:
-    if pos + _VERDICT6_FIXED.size > len(payload):
-        raise WireError("truncated batch reply record", recoverable=True)
-    (
-        _kind, raw_ip, day, flags, action_code, reuse_code,
-        users, asn, epoch, seq, n_lists,
-    ) = _VERDICT6_FIXED.unpack_from(payload, pos)
-    pos += _VERDICT6_FIXED.size
-    lists: List[str] = []
-    size = len(payload)
-    for _ in range(n_lists):
+        pos += self._degraded.size
+        size = len(payload)
         if pos >= size:
-            raise WireError("truncated batch reply record", recoverable=True)
+            raise _truncated_record()
         length = payload[pos]
         pos += 1
         if pos + length > size:
-            raise WireError("truncated batch reply record", recoverable=True)
+            raise _truncated_record()
         try:
-            lists.append(payload[pos : pos + length].decode("utf-8"))
+            error = payload[pos : pos + length].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise WireError(
-                f"undecodable list id: {exc}", recoverable=True
+                f"undecodable error text: {exc}", recoverable=True
             ) from None
         pos += length
-    action = _CODE_TO_ACTION.get(action_code)
-    reuse_kind = _CODE_TO_REUSE.get(reuse_code)
-    if action is None or reuse_kind is None:
-        raise WireError(
-            f"bad verdict codes action={action_code} reuse={reuse_code}",
-            recoverable=True,
-        )
-    entry = {
-        "ip": _int_to_ip6_cached(int.from_bytes(raw_ip, "big")),
-        "day": day,
-        "listed": bool(flags & _FLAG_LISTED),
-        "lists": lists,
-        "nated": bool(flags & _FLAG_NATED),
-        "dynamic": bool(flags & _FLAG_DYNAMIC),
-        "unjust": bool(flags & _FLAG_UNJUST),
-        "reuse_kind": reuse_kind,
-        "users": users,
-        "asn": asn,
-        "action": action,
-        "epoch": epoch,
-        "seq": seq,
-    }
-    return entry, pos
+        entry = {
+            "ip": self._ip_text(ip),
+            "day": day if has_day else None,
+            "error": error,
+            "shard": shard,
+        }
+        return entry, pos
 
-
-def _decode_degraded_record6(
-    payload: bytes, pos: int
-) -> Tuple[Dict[str, Any], int]:
-    if pos + _DEGRADED6_FIXED.size > len(payload):
-        raise WireError("truncated batch reply record", recoverable=True)
-    _kind, raw_ip, has_day, day, shard = _DEGRADED6_FIXED.unpack_from(
-        payload, pos
-    )
-    pos += _DEGRADED6_FIXED.size
-    size = len(payload)
-    if pos >= size:
-        raise WireError("truncated batch reply record", recoverable=True)
-    length = payload[pos]
-    pos += 1
-    if pos + length > size:
-        raise WireError("truncated batch reply record", recoverable=True)
-    try:
-        error = payload[pos : pos + length].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise WireError(
-            f"undecodable error text: {exc}", recoverable=True
-        ) from None
-    pos += length
-    entry = {
-        "ip": _int_to_ip6_cached(int.from_bytes(raw_ip, "big")),
-        "day": day if has_day else None,
-        "error": error,
-        "shard": shard,
-    }
-    return entry, pos
-
-
-def decode_record6(record: bytes) -> Dict[str, Any]:
-    """Decode one packed v6 record (a :func:`split_batch_reply6` slice)
-    into its wire dict."""
-    if not record:
-        raise WireError("empty batch record", recoverable=True)
-    kind = record[0]
-    if kind == REC_VERDICT:
-        entry, pos = _decode_verdict_record6(record, 0)
-    elif kind == REC_DEGRADED:
-        entry, pos = _decode_degraded_record6(record, 0)
-    else:
-        raise WireError(
-            f"unknown batch record kind {kind}", recoverable=True
-        )
-    if pos != len(record):
-        raise WireError(
-            f"{len(record) - pos} trailing bytes after batch record",
-            recoverable=True,
-        )
-    return entry
-
-
-def decode_batch_reply6(payload: bytes) -> List[Dict[str, Any]]:
-    """Decode an FT_BATCH_REP6 payload into the same wire dicts the
-    JSON codec produces for v6 queries."""
-    if len(payload) < 4:
-        raise WireError("truncated batch reply", recoverable=True)
-    (count,) = _U32.unpack_from(payload)
-    size = len(payload)
-    entries: List[Dict[str, Any]] = []
-    pos = 4
-    for _ in range(count):
-        if pos >= size:
-            raise WireError("truncated batch reply", recoverable=True)
+    def _decode_at(self, payload: bytes, pos: int) -> Decoded:
         kind = payload[pos]
         if kind == REC_VERDICT:
-            entry, pos = _decode_verdict_record6(payload, pos)
-        elif kind == REC_DEGRADED:
-            entry, pos = _decode_degraded_record6(payload, pos)
-        else:
+            return self._decode_verdict(payload, pos)
+        if kind == REC_DEGRADED:
+            return self._decode_degraded(payload, pos)
+        raise WireError(f"unknown batch record kind {kind}", recoverable=True)
+
+    def decode_record(self, record: bytes) -> Dict[str, Any]:
+        """Decode one packed record (a :meth:`split_reply` slice) into
+        its wire dict — the Router's binary-upstream → JSON-downstream
+        conversion."""
+        if not record:
+            raise WireError("empty batch record", recoverable=True)
+        entry, pos = self._decode_at(record, 0)
+        if pos != len(record):
             raise WireError(
-                f"unknown batch record kind {kind}", recoverable=True
+                f"{len(record) - pos} trailing bytes after batch record",
+                recoverable=True,
             )
-        entries.append(entry)
-    if pos != size:
-        raise WireError(
-            f"{size - pos} trailing bytes after batch reply",
-            recoverable=True,
-        )
-    return entries
+        return entry
+
+    def decode_reply(self, payload: bytes) -> List[Dict[str, Any]]:
+        """Decode a batch-reply payload into the same wire dicts the
+        JSON codec produces — field-for-field equal, so clients cannot
+        tell the codecs apart by content."""
+        if len(payload) < 4:
+            raise WireError("truncated batch reply", recoverable=True)
+        (count,) = _U32.unpack_from(payload)
+        size = len(payload)
+        entries: List[Dict[str, Any]] = []
+        pos = 4
+        for _ in range(count):
+            if pos >= size:
+                raise WireError("truncated batch reply", recoverable=True)
+            entry, pos = self._decode_at(payload, pos)
+            entries.append(entry)
+        if pos != size:
+            raise WireError(
+                f"{size - pos} trailing bytes after batch reply",
+                recoverable=True,
+            )
+        return entries
+
+
+#: The packed batch codec of each address family. A v4 address is an
+#: ``I`` slot holding the int; a v6 one is 16 big-endian bytes.
+BATCH_CODECS: Dict[AddressFamily, BatchCodec] = {
+    V4: BatchCodec(
+        V4, FT_BATCH_REQ, FT_BATCH_REP,
+        slot="I", to_raw=None, to_int=operator.index, to_text=int_to_ip,
+    ),
+    V6: BatchCodec(
+        V6, FT_BATCH_REQ6, FT_BATCH_REP6,
+        slot="16s", to_raw=_ip6_raw,
+        to_int=_raw6_to_int, to_text=_raw6_to_text,
+    ),
+}
+
+# The per-family function names callers have always imported.
+encode_batch_request = BATCH_CODECS[V4].encode_request
+decode_batch_request = BATCH_CODECS[V4].decode_request
+pack_verdict = BATCH_CODECS[V4].pack_verdict
+pack_verdict_wire = BATCH_CODECS[V4].pack_verdict_wire
+pack_degraded = BATCH_CODECS[V4].pack_degraded
+encode_batch_reply_frame = BATCH_CODECS[V4].encode_reply_frame
+split_batch_reply = BATCH_CODECS[V4].split_reply
+decode_record = BATCH_CODECS[V4].decode_record
+decode_batch_reply = BATCH_CODECS[V4].decode_reply
+encode_batch_request6 = BATCH_CODECS[V6].encode_request
+decode_batch_request6 = BATCH_CODECS[V6].decode_request
+pack_verdict6 = BATCH_CODECS[V6].pack_verdict
+pack_verdict_wire6 = BATCH_CODECS[V6].pack_verdict_wire
+pack_degraded6 = BATCH_CODECS[V6].pack_degraded
+encode_batch_reply_frame6 = BATCH_CODECS[V6].encode_reply_frame
+split_batch_reply6 = BATCH_CODECS[V6].split_reply
+decode_record6 = BATCH_CODECS[V6].decode_record
+decode_batch_reply6 = BATCH_CODECS[V6].decode_reply

@@ -501,37 +501,6 @@ class TestFlowWire:
         assert len(found) == 1
         assert "destructured into 3 name(s)" in found[0].message
 
-    def test_v6_twin_drift_flagged(self, tmp_path):
-        found = findings(
-            tmp_path,
-            {
-                "service/codec.py": """
-                import struct
-
-                REC = struct.Struct(">IBi")
-                REC6 = struct.Struct(">16sBBi")
-                """,
-            },
-            "FLOW-WIRE",
-        )
-        assert len(found) == 1
-        assert "drifted" in found[0].message
-
-    def test_v6_twin_conformant_clean(self, tmp_path):
-        found = findings(
-            tmp_path,
-            {
-                "service/codec.py": """
-                import struct
-
-                REC = struct.Struct(">IBi")
-                REC6 = struct.Struct(">16sBi")
-                """,
-            },
-            "FLOW-WIRE",
-        )
-        assert found == []
-
     def test_encoded_ft_without_decoder_flagged(self, tmp_path):
         files = {
             "service/enc.py": """
@@ -561,6 +530,34 @@ class TestFlowWire:
         """
         found = findings(tmp_path, files, "FLOW-WIRE")
         assert found == []
+
+    def test_codec_constructor_tags_need_decoder(self, tmp_path):
+        # A codec built with its frame tags emits them, so the tags
+        # need a decoder comparison just as an encode_*() call's do.
+        files = {
+            "service/enc.py": """
+            FT_REQ = 5
+
+
+            class PingCodec:
+                def __init__(self, request_type):
+                    self.request_type = request_type
+
+
+            CODEC = PingCodec(FT_REQ)
+            """,
+        }
+        found = findings(tmp_path, dict(files), "FLOW-WIRE")
+        assert len(found) == 1
+        assert "FT_REQ" in found[0].message
+        files["service/dec.py"] = """
+        from .enc import FT_REQ
+
+
+        def dispatch(ftype):
+            return ftype == FT_REQ
+        """
+        assert findings(tmp_path, files, "FLOW-WIRE") == []
 
     def test_invalid_format_string_flagged(self, tmp_path):
         found = findings(

@@ -14,14 +14,17 @@ Three layers, mirroring the upgrade's compatibility promise:
   binary or JSON downstream) all return the same verdicts.
 """
 
+import hashlib
 import socket
 import struct
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.local import LocalCluster
+from repro.net.family import V4, V6
 from repro.net.ipv4 import int_to_ip
 from repro.service.client import ReputationClient, ServiceError
 from repro.service.engine import QueryEngine, Verdict
@@ -33,19 +36,30 @@ from repro.service.wire import (
     FT_MSG,
     MAX_FRAME_BYTES,
     WireError,
+    decode_batch_reply,
+    decode_batch_reply6,
     decode_batch_request,
+    decode_batch_request6,
     decode_binary_frame,
     decode_msg_payload,
     decode_record,
+    decode_record6,
+    encode_batch_reply_frame,
+    encode_batch_reply_frame6,
     encode_batch_request,
+    encode_batch_request6,
     encode_msg_frame,
     pack_degraded,
+    pack_degraded6,
     pack_verdict,
+    pack_verdict6,
     pack_verdict_wire,
+    pack_verdict_wire6,
     recv_binary_frame,
     recv_frame,
     send_frame,
     split_batch_reply,
+    split_batch_reply6,
 )
 from tests.test_service_wire import FakeSocket, json_values
 
@@ -70,6 +84,105 @@ def _verdict(**overrides):
     return Verdict(**base)
 
 
+#: The packed batch codec of each address family, reached through its
+#: public names, with a sample address and its text form.
+CODECS = {
+    "v4": SimpleNamespace(
+        family=V4,
+        ip=0x0A000001,
+        text="10.0.0.1",
+        encode_request=encode_batch_request,
+        decode_request=decode_batch_request,
+        pack=pack_verdict,
+        pack_wire=pack_verdict_wire,
+        pack_degraded=pack_degraded,
+        reply_frame=encode_batch_reply_frame,
+        split=split_batch_reply,
+        decode_record=decode_record,
+        decode_reply=decode_batch_reply,
+    ),
+    "v6": SimpleNamespace(
+        family=V6,
+        ip=0x20010DB8_00000000_00000000_00000001,
+        text="2001:db8::1",
+        encode_request=encode_batch_request6,
+        decode_request=decode_batch_request6,
+        pack=pack_verdict6,
+        pack_wire=pack_verdict_wire6,
+        pack_degraded=pack_degraded6,
+        reply_frame=encode_batch_reply_frame6,
+        split=split_batch_reply6,
+        decode_record=decode_record6,
+        decode_reply=decode_batch_reply6,
+    ),
+}
+
+
+def _pairs(max_ip):
+    return st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=max_ip),
+            st.none()
+            | st.integers(min_value=-(2**31), max_value=2**31 - 1),
+        ),
+        max_size=50,
+    )
+
+
+#: A codec with a batch of ``(ip, day)`` pairs its family can carry.
+codec_pairs = st.sampled_from(sorted(CODECS)).flatmap(
+    lambda name: st.tuples(
+        st.just(CODECS[name]), _pairs(CODECS[name].family.max_int)
+    )
+)
+
+
+def _pin_corpus(codec):
+    """Request frames, verdict records, degraded records and reply
+    frames covering the packed layouts' edges for one family."""
+    top = codec.family.max_int
+    frames = [
+        codec.encode_request([], 0),
+        codec.encode_request(
+            [(0, None), (codec.ip, 17), (top, None), (codec.ip, -(2**31)),
+             (top, 2**31 - 1), (0, 0)],
+            0xFFFFFFFF,
+        ),
+    ]
+    verdicts = [
+        codec.pack(_verdict(ip=codec.ip, family=codec.family)),
+        codec.pack(
+            _verdict(ip=0, listed=False, lists=(), unjust=False,
+                     action="ignore", reuse_kind="", family=codec.family)
+        ),
+        codec.pack(
+            _verdict(ip=top, day=-3, users=2**32 - 1, asn=2**32 - 1,
+                     epoch=2**32 - 1, seq=2**64 - 1, dynamic=True,
+                     reuse_kind="nat+dynamic", action="block",
+                     lists=("x" * 255, "liste-\u00e9"),
+                     family=codec.family)
+        ),
+    ]
+    degraded = [
+        codec.pack_degraded(codec.ip, 12, 2, "SHARD_UNAVAILABLE"),
+        codec.pack_degraded(top, None, 2**32 - 1, "e" * 300),
+        codec.pack_degraded(0, -1, 0, ""),
+    ]
+    replies = [
+        codec.reply_frame([], 0),
+        codec.reply_frame(verdicts + degraded, 7),
+    ]
+    return frames + verdicts + degraded + replies
+
+
+#: sha256 over the length-prefixed :func:`_pin_corpus` items. Any
+#: change to a packed byte of either family moves these.
+PINNED_DIGESTS = {
+    "v4": "5e9c829880d5309c47648971f48925587da704a9483f7246e1d2b5bdab18a8bb",
+    "v6": "81cd8786049a5030196cd2f24a78fb31c7bb818199d9c0bf9e84972298fe8c7e",
+}
+
+
 class TestBinaryCodecRoundtrip:
     @settings(max_examples=150, deadline=None)
     @given(json_values)
@@ -83,53 +196,55 @@ class TestBinaryCodecRoundtrip:
         assert (ftype, rid, consumed) == (FT_MSG, 7, len(frame))
         assert decode_msg_payload(payload) == value
 
+    @pytest.mark.parametrize("name", sorted(CODECS))
+    def test_packed_bytes_pinned(self, name):
+        digest = hashlib.sha256()
+        for item in _pin_corpus(CODECS[name]):
+            digest.update(len(item).to_bytes(4, "big") + item)
+        assert digest.hexdigest() == PINNED_DIGESTS[name]
+
     @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=0xFFFFFFFF),
-                st.none()
-                | st.integers(min_value=-(2**31), max_value=2**31 - 1),
-            ),
-            max_size=50,
-        ),
-        st.integers(min_value=0, max_value=0xFFFFFFFF),
-    )
-    def test_batch_request_roundtrip(self, pairs, rid):
-        frame = encode_batch_request(pairs, rid)
+    @given(codec_pairs, st.integers(min_value=0, max_value=0xFFFFFFFF))
+    def test_batch_request_roundtrip(self, codec_and_pairs, rid):
+        codec, pairs = codec_and_pairs
+        frame = codec.encode_request(pairs, rid)
         decoded = decode_binary_frame(frame)
         assert decoded is not None
         _ftype, got_rid, payload, _ = decoded
         assert got_rid == rid
-        assert decode_batch_request(payload) == pairs
+        assert codec.decode_request(payload) == pairs
 
     def test_verdict_record_roundtrip_is_field_for_field(self):
         """The pinned cross-codec contract: a packed verdict decodes
         to exactly ``Verdict.to_wire()`` — every field, not a
-        projection."""
-        for verdict in (
-            _verdict(),
-            _verdict(listed=False, lists=(), unjust=False,
-                     action="ignore", reuse_kind=""),
-            _verdict(day=-3, users=0, asn=0, epoch=0, seq=0,
-                     dynamic=True),
-        ):
-            record = pack_verdict(verdict)
-            assert decode_record(record) == verdict.to_wire()
-            # And the wire-dict repack (the router's JSON-upstream →
-            # binary-downstream path) hits the same bytes.
-            assert pack_verdict_wire(verdict.to_wire()) == record
+        projection — on both families."""
+        for codec in CODECS.values():
+            for verdict in (
+                _verdict(ip=codec.ip, family=codec.family),
+                _verdict(ip=codec.ip, listed=False, lists=(),
+                         unjust=False, action="ignore", reuse_kind="",
+                         family=codec.family),
+                _verdict(ip=codec.family.max_int, day=-3, users=0, asn=0,
+                         epoch=0, seq=0, dynamic=True,
+                         family=codec.family),
+            ):
+                record = codec.pack(verdict)
+                assert codec.decode_record(record) == verdict.to_wire()
+                # And the wire-dict repack (the router's JSON-upstream
+                # → binary-downstream path) hits the same bytes.
+                assert codec.pack_wire(verdict.to_wire()) == record
 
     def test_degraded_record_roundtrip(self):
-        record = pack_degraded(0x0A000001, 12, 2, "SHARD_UNAVAILABLE")
-        assert decode_record(record) == {
-            "ip": "10.0.0.1",
-            "day": 12,
-            "error": "SHARD_UNAVAILABLE",
-            "shard": 2,
-        }
-        record = pack_degraded(1, None, 0, "SHARD_UNAVAILABLE")
-        assert decode_record(record)["day"] is None
+        for codec in CODECS.values():
+            record = codec.pack_degraded(codec.ip, 12, 2, "SHARD_UNAVAILABLE")
+            assert codec.decode_record(record) == {
+                "ip": codec.text,
+                "day": 12,
+                "error": "SHARD_UNAVAILABLE",
+                "shard": 2,
+            }
+            record = codec.pack_degraded(1, None, 0, "SHARD_UNAVAILABLE")
+            assert codec.decode_record(record)["day"] is None
 
 
 class TestBinaryFrameFuzz:
@@ -198,11 +313,16 @@ class TestBinaryFrameFuzz:
         assert not excinfo.value.recoverable
 
     @settings(max_examples=150, deadline=None)
-    @given(st.binary(max_size=80))
-    def test_record_decoders_never_crash(self, blob):
+    @given(st.sampled_from(sorted(CODECS)), st.binary(max_size=80))
+    def test_record_decoders_never_crash(self, name, blob):
+        codec = CODECS[name]
         try:
-            for record in split_batch_reply(blob):
-                decode_record(record)
+            for record in codec.split(blob):
+                codec.decode_record(record)
+        except WireError:
+            pass
+        try:
+            codec.decode_reply(blob)
         except WireError:
             pass
 
@@ -339,6 +459,43 @@ class TestCodecEquality:
             assert jc.query_batch(queries) == bc.query_batch(queries)
 
 
+class TestPackedPathCounters:
+    """The packed binary path counts every query it serves once per
+    batch, packed-cache hits included, on both families."""
+
+    @pytest.fixture(scope="class")
+    def v6_index(self):
+        from repro.adversary import scenario_index
+        from repro.v6serve import HitlistV6Model
+
+        return scenario_index(HitlistV6Model().build(3))
+
+    @pytest.mark.parametrize("name", sorted(CODECS))
+    def test_every_query_counted(self, name, index, v6_index):
+        codec = CODECS[name]
+        served = index if codec.family is V4 else v6_index
+        base = 0x0A000000 if codec.family is V4 else codec.ip
+        batches = [
+            [(base + 50 * row + col, None) for col in range(50)]
+            for row in range(10)
+        ]
+        srv = ReputationServer(QueryEngine(served), connection_timeout=5.0)
+        srv.start()
+        try:
+            with ReputationClient(
+                *srv.address, codec="binary", family=codec.family
+            ) as client:
+                for _ in range(2):  # the second pass is fully cached
+                    for batch in batches:
+                        assert len(client.query_batch(batch)) == 50
+                counters = client.stats()["queries"]
+        finally:
+            srv.shutdown()
+        assert counters["batch"]["calls"] == 20
+        assert counters["batch"]["queries"] == 1000
+        assert counters["batch"]["cache_hits"] == 500
+
+
 class TestMixedFleets:
     @pytest.fixture(scope="class")
     def fleet_index(self, small_full_run):
@@ -428,28 +585,41 @@ class TestBackpressure:
         server.slot_high_water = 8
         server.slot_low_water = 2
         address = server.start()
+
+        def snapshot():
+            # Loop-owned state is read on the loop thread, in one go,
+            # so the test never sees a half-applied pause.
+            seen = {}
+
+            def take():
+                conns = list(server._conns.values())
+                conn = conns[0] if conns else None
+                seen["paused"] = conn is not None and conn.paused
+                seen["events"] = conn.events if conn is not None else 0
+                seen["held"] = len(held)
+
+            server.reactor.run_sync(take)
+            return seen
+
         try:
             with socket.create_connection(address, timeout=5.0) as sock:
                 frame = encode_frame({"op": "ping"})
                 sock.sendall(frame * 40)
                 deadline = time.monotonic() + 5.0
-                conn = None
-                while time.monotonic() < deadline:
-                    conns = list(server._conns.values())
-                    if conns and conns[0].paused:
-                        conn = conns[0]
-                        break
+                state = snapshot()
+                while not state["paused"] and time.monotonic() < deadline:
                     time.sleep(0.01)
-                assert conn is not None, "server never paused reads"
-                assert not (conn.events & selectors.EVENT_READ)
+                    state = snapshot()
+                assert state["paused"], "server never paused reads"
+                assert not (state["events"] & selectors.EVENT_READ)
 
                 # While paused, a second flood must sit unread in the
                 # kernel, not in server memory.
-                parsed = len(held)
+                parsed = state["held"]
                 assert parsed >= 8
                 sock.sendall(frame * 40)
                 time.sleep(0.3)
-                assert len(held) == parsed
+                assert snapshot()["held"] == parsed
 
                 # Draining the held slots resumes reads; every one of
                 # the 80 requests must eventually be answered.
